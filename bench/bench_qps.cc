@@ -214,8 +214,8 @@ void Run() {
               "measures headroom for multi-core hosts.");
   for (const Workload& w : kWorkloads) {
     report.Section(std::string("concurrent reads: ") + DataSetName(w.data));
-    report.Header({"dataset", "engine", "threads", "ops", "wall_ms", "qps",
-                   "p50_ms", "p95_ms", "p99_ms", "results_per_pass"});
+    report.Header({"dataset", "threads", "ops", "wall_ms", "qps", "p50_ms",
+                   "p95_ms", "p99_ms", "results_per_pass"});
     std::unique_ptr<Corpus> corpus = BuildCorpus(w.data);
     Result<FixIndex> index =
         BuildFix(corpus.get(), w.data, /*clustered=*/false, 0, nullptr,
@@ -240,74 +240,56 @@ void Run() {
       }
     }
 
-    // A/B the probe engines across the whole thread sweep. The engine flip
-    // happens between quiesced sweeps (set_probe_engine is not safe under
-    // concurrent probes); both engines must reproduce the single-threaded
-    // ground truth exactly — the spatial path is byte-identical by
-    // contract, so the determinism check doubles as an engine-parity check.
-    struct Engine {
-      const char* name;
-      ProbeEngine engine;
-    };
-    constexpr Engine kEngines[] = {{"btree", ProbeEngine::kBTree},
-                                   {"spatial", ProbeEngine::kSpatial}};
-    for (const Engine& eng : kEngines) {
-      index->set_probe_engine(eng.engine);
-      for (int n : kThreadCounts) {
-        std::vector<std::vector<double>> lat_ms(n);
-        std::vector<uint64_t> result_totals(n, 0);
-        const int ops_per_thread =
-            kRoundsPerThread * static_cast<int>(queries.size());
+    for (int n : kThreadCounts) {
+      std::vector<std::vector<double>> lat_ms(n);
+      std::vector<uint64_t> result_totals(n, 0);
+      const int ops_per_thread =
+          kRoundsPerThread * static_cast<int>(queries.size());
 
-        Timer wall;
-        std::vector<std::thread> threads;
-        threads.reserve(n);
-        for (int t = 0; t < n; ++t) {
-          threads.emplace_back([&, t] {
-            FixQueryProcessor proc(corpus.get(), &*index);
-            lat_ms[t].reserve(ops_per_thread);
-            for (int round = 0; round < kRoundsPerThread; ++round) {
-              for (const TwigQuery& q : queries) {
-                Timer timer;
-                auto s = proc.Execute(q, nullptr, RefineMode::kBatch);
-                lat_ms[t].push_back(timer.ElapsedMillis());
-                FIX_CHECK(s.ok());
-                result_totals[t] += s->result_count;
-              }
+      Timer wall;
+      std::vector<std::thread> threads;
+      threads.reserve(n);
+      for (int t = 0; t < n; ++t) {
+        threads.emplace_back([&, t] {
+          FixQueryProcessor proc(corpus.get(), &*index);
+          lat_ms[t].reserve(ops_per_thread);
+          for (int round = 0; round < kRoundsPerThread; ++round) {
+            for (const TwigQuery& q : queries) {
+              Timer timer;
+              auto s = proc.Execute(q, nullptr, RefineMode::kBatch);
+              lat_ms[t].push_back(timer.ElapsedMillis());
+              FIX_CHECK(s.ok());
+              result_totals[t] += s->result_count;
             }
-          });
-        }
-        for (std::thread& th : threads) th.join();
-        double wall_ms = wall.ElapsedMillis();
-
-        // Every thread ran the same passes against the same shared index;
-        // any divergence means the concurrent read path corrupted a lookup
-        // (or, on the spatial sweep, the kd-tree broke candidate parity).
-        for (int t = 0; t < n; ++t) {
-          FIX_CHECK(result_totals[t] ==
-                    expected_per_pass * kRoundsPerThread);
-        }
-
-        std::vector<double> merged;
-        merged.reserve(static_cast<size_t>(n) * ops_per_thread);
-        for (const std::vector<double>& v : lat_ms) {
-          merged.insert(merged.end(), v.begin(), v.end());
-        }
-        std::sort(merged.begin(), merged.end());
-        const uint64_t ops = merged.size();
-        double qps = wall_ms > 0 ? ops / (wall_ms / 1000.0) : 0;
-
-        char qps_s[32];
-        std::snprintf(qps_s, sizeof(qps_s), "%.1f", qps);
-        report.Row({DataSetName(w.data), eng.name, std::to_string(n),
-                    Num(ops), Ms(wall_ms), qps_s, Ms(Percentile(merged, 50)),
-                    Ms(Percentile(merged, 95)), Ms(Percentile(merged, 99)),
-                    Num(expected_per_pass)});
+          }
+        });
       }
+      for (std::thread& th : threads) th.join();
+      double wall_ms = wall.ElapsedMillis();
+
+      // Every thread ran the same passes against the same shared index;
+      // any divergence means the concurrent read path corrupted a lookup.
+      for (int t = 0; t < n; ++t) {
+        FIX_CHECK(result_totals[t] ==
+                  expected_per_pass * kRoundsPerThread);
+      }
+
+      std::vector<double> merged;
+      merged.reserve(static_cast<size_t>(n) * ops_per_thread);
+      for (const std::vector<double>& v : lat_ms) {
+        merged.insert(merged.end(), v.begin(), v.end());
+      }
+      std::sort(merged.begin(), merged.end());
+      const uint64_t ops = merged.size();
+      double qps = wall_ms > 0 ? ops / (wall_ms / 1000.0) : 0;
+
+      char qps_s[32];
+      std::snprintf(qps_s, sizeof(qps_s), "%.1f", qps);
+      report.Row({DataSetName(w.data), std::to_string(n), Num(ops),
+                  Ms(wall_ms), qps_s, Ms(Percentile(merged, 50)),
+                  Ms(Percentile(merged, 95)), Ms(Percentile(merged, 99)),
+                  Num(expected_per_pass)});
     }
-    // The mixed read/write sweep runs on the production default: kAuto
-    // (spatial while resident, refreshed on every COW commit).
-    index->set_probe_engine(ProbeEngine::kAuto);
 
     if (w.data == DataSet::kDblp) {
       RunMixedSweep(&report, corpus.get(), &*index, queries);

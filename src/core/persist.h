@@ -63,7 +63,11 @@ struct IndexMeta {
   /// which is exactly why the WAL commit record carries the app state).
   uint64_t generation = 0;
   uint64_t wal_bytes = 0;
-  // v4 appends options.probe_engine (pre-v4 metas decode to kAuto).
+  /// Format version the sidecar was decoded from (EncodeIndexMeta ignores
+  /// it and always writes the current version). v4 metas carried a probe
+  /// engine selector, now read and dropped; FixIndex::Open uses the
+  /// version to delete the kd-tree file that only v4 indexes wrote.
+  uint32_t version = 0;
 };
 
 std::string EncodeIndexMeta(const IndexMeta& meta);

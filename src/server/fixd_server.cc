@@ -672,7 +672,15 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, uint8_t type,
           run = id.status();
         } else {
           resp.doc_id = id.value();
-          resp.generation = sdb_->layout_generation();
+          // The wire generation is the target shard's index generation
+          // after the commit, as on the unsharded path. writer_mu_ keeps
+          // the layout (and so the routing) fixed since the insert.
+          const uint32_t shard =
+              ShardedDatabase::RouteDoc(resp.doc_id, sdb_->shard_count());
+          FixIndex* index = req.index.empty()
+                                ? nullptr
+                                : sdb_->shard_db(shard)->index(req.index);
+          if (index != nullptr) resp.generation = index->generation();
         }
       } else {
         // One mutator at a time; the corpus mutation + save excludes

@@ -477,6 +477,24 @@ TEST(IndexMetaCodecTest, StorageFieldsRoundTripAndRejectTruncation) {
   std::string v127 = buf;
   v127[4] = 127;
   EXPECT_TRUE(DecodeIndexMeta(v127).status().IsCorruption());
+
+  // A v4 meta (the same fields plus a trailing probe-engine selector that
+  // v5 dropped) still decodes; the selector is range-checked, then
+  // discarded, and a v4 tail cut short is corruption.
+  std::string v4 = buf;
+  v4[4] = 4;
+  v4.push_back(2);
+  auto old = DecodeIndexMeta(v4);
+  ASSERT_TRUE(old.ok()) << old.status();
+  EXPECT_EQ(old->version, 4u);
+  EXPECT_EQ(old->indexed_docs, 42u);
+  EXPECT_EQ(restored->version, 5u);
+  std::string v4_bad_engine = v4;
+  v4_bad_engine.back() = 3;
+  EXPECT_TRUE(DecodeIndexMeta(v4_bad_engine).status().IsCorruption());
+  std::string v4_cut = v4;
+  v4_cut.pop_back();
+  EXPECT_TRUE(DecodeIndexMeta(v4_cut).status().IsCorruption());
 }
 
 // --- B+-tree structural audit -----------------------------------------------

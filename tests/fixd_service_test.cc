@@ -23,6 +23,7 @@
 #include "common/net.h"
 #include "common/wire.h"
 #include "core/database.h"
+#include "core/sharded_database.h"
 #include "server/client.h"
 
 namespace fix {
@@ -244,6 +245,51 @@ TEST_F(FixdServiceTest, InsertIsVisibleToSubsequentQueries) {
   EXPECT_EQ(unchanged->result_count, after->result_count);
 
   ASSERT_TRUE(server_->Stop().ok());
+}
+
+// On a sharded backend INSERT answers the target shard's index generation
+// after the commit, like the unsharded path: consecutive inserts into one
+// shard rise by exactly one, whatever the other shard does in between.
+TEST_F(FixdServiceTest, ShardedInsertReturnsTargetShardGeneration) {
+  ShardedOptions sopts;
+  sopts.shard_count = 2;
+  sopts.index.depth_limit = 3;
+  const std::string sdir = dir_ + "/sharded";
+  std::filesystem::create_directories(sdir);
+  auto sdb = ShardedDatabase::Partition(*db_->corpus(), sdir, sopts);
+  ASSERT_TRUE(sdb.ok()) << sdb.status();
+  ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());
+  uint64_t last[2];
+  for (uint32_t s = 0; s < 2; ++s) {
+    FixIndex* index = (*sdb)->shard_db(s)->index("main");
+    ASSERT_NE(index, nullptr);
+    last[s] = index->generation();
+  }
+
+  ServerOptions options;
+  options.host = "127.0.0.1";
+  options.index = "main";
+  options.index_options.depth_limit = 3;
+  server_ = std::make_unique<Server>(sdb->get(), options);
+  ASSERT_TRUE(server_->Start().ok());
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  uint32_t per_shard[2] = {0, 0};
+  for (int i = 0; i < 32 && (per_shard[0] < 2 || per_shard[1] < 2); ++i) {
+    auto inserted = (*client)->Insert("main", TestDoc(200 + i));
+    ASSERT_TRUE(inserted.ok()) << inserted.status();
+    const uint32_t s = ShardedDatabase::RouteDoc(inserted->doc_id, 2);
+    EXPECT_EQ(inserted->generation, last[s] + 1)
+        << "insert " << i << " into shard " << s;
+    last[s] = inserted->generation;
+    ++per_shard[s];
+  }
+  // Each shard took consecutive inserts.
+  EXPECT_GE(per_shard[0], 2u);
+  EXPECT_GE(per_shard[1], 2u);
+  ASSERT_TRUE(server_->Stop().ok());
+  server_.reset();
 }
 
 TEST_F(FixdServiceTest, OverloadShedsWithTypedErrorAndLosesNothing) {

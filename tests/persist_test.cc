@@ -169,6 +169,68 @@ TEST_F(PersistTest, IndexReopenAnswersIdentically) {
   }
 }
 
+// A v4 meta is the v5 encoding with version 4 and one trailing varint,
+// the probe-engine selector v5 dropped (2 was the default, "auto").
+std::string AsV4Meta(const std::string& v5) {
+  std::string v4 = v5;
+  v4[4] = 4;  // little-endian fixed32 version right after the magic
+  v4.push_back(2);
+  return v4;
+}
+
+TEST_F(PersistTest, V4IndexOpensAndDropsLeftoverSpatialSidecar) {
+  Corpus corpus;
+  DblpOptions gen;
+  gen.num_publications = 80;
+  GenerateDblp(&corpus, gen);
+  ASSERT_TRUE(corpus.Save(dir_).ok());
+  IndexOptions options;
+  options.depth_limit = 4;
+  options.path = dir_ + "/v4.fix";
+  const std::string sidecar = options.path + ".spatial";
+  QueryGenOptions qopts;
+  qopts.seed = 56;
+  qopts.max_depth = 4;
+  auto queries = GenerateRandomQueries(corpus, 20, qopts);
+  ASSERT_GT(queries.size(), 5u);
+  std::vector<uint64_t> want;
+  uint64_t entries = 0;
+  {
+    auto built = FixIndex::Build(&corpus, options, nullptr);
+    ASSERT_TRUE(built.ok());
+    EXPECT_FALSE(std::filesystem::exists(sidecar));  // v5 never writes one
+    entries = built->num_entries();
+    FixQueryProcessor processor(&corpus, &*built);
+    for (const TwigQuery& q : queries) {
+      auto stats = processor.Execute(q);
+      ASSERT_TRUE(stats.ok());
+      want.push_back(stats->result_count);
+    }
+  }
+
+  // Turn the index into what a v4 build left behind: a v4 meta and a
+  // kd-tree sidecar beside the tree.
+  auto meta = ReadFile(options.path + ".meta");
+  ASSERT_TRUE(meta.ok());
+  ASSERT_TRUE(WriteFile(options.path + ".meta", AsV4Meta(*meta)).ok());
+  ASSERT_TRUE(WriteFile(sidecar, std::string(4096, 'k')).ok());
+
+  auto corpus2 = Corpus::Load(dir_);
+  ASSERT_TRUE(corpus2.ok());
+  auto reopened = FixIndex::Open(&*corpus2, options.path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_FALSE(std::filesystem::exists(sidecar));
+  EXPECT_EQ(reopened->num_entries(), entries);
+  FixQueryProcessor processor(&*corpus2, &*reopened);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    TwigQuery q = queries[i];
+    q.ResolveLabels(corpus2->labels());
+    auto stats = processor.Execute(q);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->result_count, want[i]) << q.ToString();
+  }
+}
+
 TEST_F(PersistTest, ReopenedClusteredIndexServesCopies) {
   Corpus corpus;
   ASSERT_TRUE(corpus.AddXml("<a><b/><c/></a>").ok());
